@@ -132,21 +132,22 @@ def _query_units(cluster, predicate, k):
     """Counted latency of one read: reduction ops over consulted replicas.
 
     Each live replica's :class:`ReductionStats` delta (probes, fetches,
-    scans) plus one RPC unit per replica that did work.
+    full scans, bounded column scans) plus one RPC unit per replica that
+    did work.
     """
     inners = [r.durable.inner for r in cluster.live_replicas]
-    before = [
-        (i.stats.monitored_probes, i.stats.threshold_fetches, i.stats.full_scans)
-        for i in inners
-    ]
+
+    def ops(stats):
+        return (
+            stats.monitored_probes + stats.threshold_fetches
+            + stats.full_scans + stats.column_scans
+        )
+
+    before = [ops(i.stats) for i in inners]
     cluster.query(predicate, k)
     units = 0
-    for inner, (probes, fetches, scans) in zip(inners, before):
-        delta = (
-            (inner.stats.monitored_probes - probes)
-            + (inner.stats.threshold_fetches - fetches)
-            + (inner.stats.full_scans - scans)
-        )
+    for inner, prior in zip(inners, before):
+        delta = ops(inner.stats) - prior
         if delta:
             units += delta + 1  # +1: the RPC round trip itself
     return max(units, 1)

@@ -287,7 +287,7 @@ class MatchScan:
 
     __slots__ = (
         "columns", "predicate", "_match", "upto", "positions", "_version",
-        "_pending",
+        "_pending", "scanned",
     )
 
     def __init__(self, columns: ColumnSet, predicate: Predicate) -> None:
@@ -300,6 +300,9 @@ class MatchScan:
         #: A recorded-but-unapplied :meth:`seed_prefix`, installed only
         #: if the scan is consulted again (most predicates never are).
         self._pending: Optional[tuple] = None
+        #: Positions this scan has examined itself (seeds excluded): the
+        #: cost callers book as ``ReductionStats.column_positions``.
+        self.scanned = 0
 
     # ------------------------------------------------------------------
     def fresh(self) -> bool:
@@ -329,6 +332,7 @@ class MatchScan:
                 [i for i, obj in enumerate(block, upto) if match(obj)]
             )
             upto = hi
+        self.scanned += upto - self.upto
         self.upto = upto
 
     def ensure_prefix(self, stop: int) -> None:
@@ -340,13 +344,18 @@ class MatchScan:
         if stop > self.upto:
             self._advance_to(stop)
 
-    def ensure_matches(self, m: int) -> int:
-        """Scan until ``m`` matches are known or the columns end."""
+    def ensure_matches(self, m: int, budget: Optional[int] = None) -> int:
+        """Scan until ``m`` matches are known or the columns end.
+
+        With ``budget``, examine at most that many further positions.
+        """
         self._apply_pending()
-        n = len(self.columns)
+        stop = len(self.columns)
+        if budget is not None:
+            stop = min(stop, self.upto + budget)
         positions = self.positions
-        while len(positions) < m and self.upto < n:
-            self._advance_to(min(self.upto + _CHUNK, n))
+        while len(positions) < m and self.upto < stop:
+            self._advance_to(min(self.upto + _CHUNK, stop))
         return len(positions)
 
     def seed_prefix(self, elements: Sequence[Element], upto: int) -> None:
@@ -388,49 +397,73 @@ class MatchScan:
         elements = self.columns.elements
         return DescendingElements([elements[p] for p in self.positions[:m]])
 
-    def first(self, k: int) -> DescendingElements:
+    # The query primitives below take an optional ``budget``: the most
+    # positions the call may examine beyond the current frontier.  With
+    # a budget the call answers only if the columns decide it within
+    # that many positions, and returns ``None`` otherwise; ``budget=0``
+    # reads only what the scan already knows (its frontier and seeds).
+    def first(
+        self, k: int, budget: Optional[int] = None
+    ) -> Optional[DescendingElements]:
         """The top-``k`` matches — the direct columnar top-k answer.
 
         Early exit: scanning stops as soon as ``k`` matches are known,
         because under distinct weights the first ``k`` matches of a
         weight-descending scan are exactly the unique top-k answer.
+        Decided once ``k`` matches are known or the columns end.
         """
         if k <= 0:
             return DescendingElements()
-        found = self.ensure_matches(k)
+        found = self.ensure_matches(k, budget)
+        if found < k and self.upto < len(self.columns):
+            return None
         return self._materialize(min(k, found))
 
-    def probe(self, limit: int) -> PrioritizedResult:
+    def probe(
+        self, limit: int, budget: Optional[int] = None
+    ) -> Optional[PrioritizedResult]:
         """The monitored probe: everything, or truncation past ``limit``.
 
         Identical to ``index.query(predicate, -inf, limit=limit)`` on a
         legacy prioritized structure: ``truncated`` iff strictly more
         than ``limit`` elements match, and a non-truncated result holds
-        every match.
+        every match.  Decided once ``limit + 1`` matches are known or
+        the columns end.
         """
-        self.ensure_matches(limit + 1)
-        found = len(self.positions)
+        found = self.ensure_matches(limit + 1, budget)
+        if found <= limit and self.upto < len(self.columns):
+            return None
         return PrioritizedResult(self._materialize(found), truncated=found > limit)
 
-    def fetch(self, tau: float, limit: Optional[int] = None) -> PrioritizedResult:
+    def fetch(
+        self, tau: float, limit: Optional[int] = None, budget: Optional[int] = None
+    ) -> Optional[PrioritizedResult]:
         """The thresholded fetch: matches with weight ``>= tau``.
 
         The weight threshold becomes a *positional* bound by one bisect
         on the weight column, so the scan never leaves the qualifying
         prefix.  With ``limit``, truncates under the legacy condition
-        (strictly more than ``limit`` qualifying matches).
+        (strictly more than ``limit`` qualifying matches).  Decided once
+        the frontier passes the qualifying prefix or ``limit`` is
+        exceeded.
         """
         self._apply_pending()
         stop = self.columns.count_at_least(tau)
+        bounded_stop = stop if budget is None else min(stop, self.upto + budget)
         positions = self.positions
         if limit is None:
-            self.ensure_prefix(stop)
-            m = bisect_left(positions, stop)
-            return PrioritizedResult(self._materialize(m), truncated=False)
-        while self.upto < stop and bisect_left(positions, stop) <= limit:
-            self._advance_to(min(self.upto + _CHUNK, stop))
+            self.ensure_prefix(bounded_stop)
+        else:
+            while (
+                self.upto < bounded_stop
+                and bisect_left(positions, stop) <= limit
+            ):
+                self._advance_to(min(self.upto + _CHUNK, bounded_stop))
         m = bisect_left(positions, stop)
-        return PrioritizedResult(self._materialize(m), truncated=m > limit)
+        truncated = limit is not None and m > limit
+        if self.upto < stop and not truncated:
+            return None
+        return PrioritizedResult(self._materialize(m), truncated=truncated)
 
     def all_matches(self) -> DescendingElements:
         """Every match, heaviest first (the exact-fallback scan)."""

@@ -70,6 +70,10 @@ class ReductionStats:
     full_scans: int = 0
     batch_queries: int = 0
     memo_hits: int = 0
+    #: Theorem 2: queries answered by its bounded direct column scan.
+    column_scans: int = 0
+    #: Theorem 2: ground-column positions its scans examined, any path.
+    column_positions: int = 0
 
     def reset(self) -> None:
         self.queries = 0
@@ -79,6 +83,8 @@ class ReductionStats:
         self.full_scans = 0
         self.batch_queries = 0
         self.memo_hits = 0
+        self.column_scans = 0
+        self.column_positions = 0
 
 
 class _TopFStructure:

@@ -61,6 +61,19 @@ from repro.resilience.errors import (
     StaticStructureError,
 )
 
+#: The bounded direct scan's reach, in multiples of the first round's
+#: ``cap = ceil(slack * K_j)`` positions.  It looks at ``cap`` positions
+#: first (a broad predicate answers there), then up to
+#: ``_SCAN_BUDGET_CAPS * cap`` (about one 512-position chunk at bench
+#: sizes), and past that only while the match rate it has observed puts
+#: the k-th match within ``_SCAN_STRETCH_CAPS * cap`` — roughly the
+#: cost, in column positions, of the rounds it replaces (a structure
+#: reports one element for ~10 scanned positions, a round reports up to
+#: ``cap``).  Selective predicates stop at ``4 * cap`` at every ``n``
+#: and run the rounds.  E23's selectivity axis measures the trade-off.
+_SCAN_BUDGET_CAPS = 4
+_SCAN_STRETCH_CAPS = 16
+
 
 class ExpectedTopKIndex(TopKIndex):
     """The Theorem 2 top-k structure.
@@ -329,28 +342,28 @@ class ExpectedTopKIndex(TopKIndex):
         bound per-query cost and take over with its degradation ladder.
         With the default ``None`` the ladder runs to its end and
         finishes with the step-6(b) full scan, exactly as before.
+
+        Columnar mode first tries a *bounded* direct scan (see
+        :meth:`_bounded_scan`); only queries it cannot decide run the
+        rounds.  Budgeted queries skip it: their contract is "this many
+        ladder rounds, then ``RetryBudgetExhausted``".
         """
         self.stats.queries += 1
         if k <= 0 or self.n == 0:
             return []
-        if round_budget is None and self._columnar:
-            # Columnar direct path: the ground columns are weight-
-            # descending, so the first k matches of one resumable scan
-            # *are* the answer — the sample ladder exists to simulate
-            # exactly this scan order on black boxes that cannot
-            # provide it.  Budgeted queries stay on the faithful
-            # rounds: their contract is "this many ladder rounds, then
-            # RetryBudgetExhausted", which a direct answer would void.
-            return self._columnar_query(predicate, k)
-        n = self.n
+        scan = self._scan_for(predicate) if self._columnar else None
         if not self._K or k > self._K[-1]:
             # k beyond the ladder (or no ladder at all): scan D.
-            return self._scan_answer(predicate, k)
+            return self._scan_answer(predicate, k, scan)
         # Queries with k < K_1 are treated as top-ceil(K_1) then k-selected.
         k_eff = max(k, math.ceil(self._K[0]))
         if k_eff > self._K[-1]:
-            return self._scan_answer(predicate, k)
+            return self._scan_answer(predicate, k, scan)
         j = self._first_level_at_least(k_eff)
+        if scan is not None and round_budget is None:
+            answer = self._bounded_scan(scan, k, j)
+            if answer is not None:
+                return answer
         rounds_used = 0
         while j < len(self._K):
             if round_budget is not None and rounds_used >= round_budget:
@@ -359,43 +372,79 @@ class ExpectedTopKIndex(TopKIndex):
                     f"of {len(self._K)}",
                     attempts=rounds_used,
                 )
-            answer = self._round(predicate, k, j)
+            answer = self._round(predicate, k, j, scan)
             rounds_used += 1
             if answer is not None:
                 return answer
             j += 1
         # Step 6(b): every round failed — read the whole of D.
-        return self._scan_answer(predicate, k)
+        return self._scan_answer(predicate, k, scan)
 
-    def _columnar_query(self, predicate: Predicate, k: int) -> List[Element]:
-        """Top-k via one early-exit scan of the ground columns.
+    def _scan_for(self, predicate: Predicate) -> MatchScan:
+        """The resumable ground-column scan for ``predicate``.
 
         Inside a ``batched()`` window the scan itself is the memoized
         artifact — a ``(columns, frontier, match positions)`` triple,
         not a copied answer list — so the window's repeats (same
-        predicate at other ``k`` values, guard retries) resume the
-        traversal; a repeat already covered by the frontier is a memo
-        hit.  Counters keep their meanings: a ladder-answerable ``k``
-        counts one monitored probe (the scan plays the probe's role), a
-        beyond-ladder ``k`` counts a full scan.
+        predicate at other ``k`` values, guard retries) resume what
+        earlier visits scanned or seeded; a window repeat counts a memo
+        hit.
         """
         memo = self._memo
-        scan: Optional[MatchScan] = None
-        key = None
-        if memo is not None:
-            key = ("cscan", predicate_key(predicate))
-            scan = memo.get(key)
-            if scan is not None:
-                self.stats.memo_hits += 1
+        if memo is None:
+            return self._scans.get(self._columns, predicate)
+        key = ("cscan", predicate_key(predicate))
+        scan = memo.get(key)
         if scan is None:
-            scan = self._scans.get(self._columns, predicate)
-            if memo is not None:
-                memo[key] = scan
-        if not self._K or k > self._K[-1]:
-            self.stats.full_scans += 1
+            scan = memo[key] = self._scans.get(self._columns, predicate)
         else:
-            self.stats.monitored_probes += 1
-        return list(scan.first(k))
+            self.stats.memo_hits += 1
+        return scan
+
+    def _scan_first(
+        self, scan: MatchScan, k: int, budget: Optional[int] = None
+    ) -> Optional[List[Element]]:
+        """``scan.first(k, budget)``, booking the positions it examined."""
+        before = scan.scanned
+        answer = scan.first(k, budget)
+        self.stats.column_positions += scan.scanned - before
+        return None if answer is None else list(answer)
+
+    def _bounded_scan(self, scan: MatchScan, k: int, j: int) -> Optional[List[Element]]:
+        """Top-k by a direct scan of at most ``O(cap)`` ground columns.
+
+        The ground columns are weight-descending, so the first ``k``
+        matches of the scan *are* the answer — the sample ladder exists
+        to simulate this scan order on black boxes that cannot provide
+        it.  An unbounded scan, though, reads all ``n`` positions for a
+        predicate with fewer than ``k`` matches, which voids Theorem 2's
+        ``O(Q_pri + Q_max + k/B)`` bound.  So the scan examines at most
+        ``_SCAN_STRETCH_CAPS * cap`` positions beyond what earlier visits
+        of this predicate scanned or seeded (``cap`` as in the round at
+        level ``j``), and past ``_SCAN_BUDGET_CAPS * cap`` only while its
+        observed match rate predicts the ``k``-th match in reach.  It
+        answers when it finds ``k`` matches or reaches the end of the
+        columns; otherwise it returns ``None`` and the query runs the
+        rounds, whose complete structure results seed the scan for the
+        predicate's next visit.
+        """
+        cap = math.ceil(self.params.slack * self._K[j])
+        scan.matches_found()  # installs any pending seed first
+        start = scan.upto
+        for reach in (cap, _SCAN_BUDGET_CAPS * cap):
+            answer = self._scan_first(scan, k, start + reach - scan.upto)
+            if answer is not None:
+                break
+        else:
+            stop = start + _SCAN_STRETCH_CAPS * cap
+            found = scan.matches_found()
+            if found == 0 or k * scan.upto > found * stop:
+                return None  # the k-th match is out of reach: run rounds
+            answer = self._scan_first(scan, k, stop - scan.upto)
+            if answer is None:
+                return None
+        self.stats.column_scans += 1
+        return answer
 
     def _first_level_at_least(self, k_eff: float) -> int:
         """Smallest ladder index ``i`` (0-based) with ``K_i >= k_eff``."""
@@ -414,30 +463,31 @@ class ExpectedTopKIndex(TopKIndex):
             return None
         return predicate_key(predicate)
 
-    def _round(self, predicate: Predicate, k: int, j: int) -> Optional[List[Element]]:
-        """One round at ladder level ``j``; ``None`` means the round failed."""
+    def _round(
+        self, predicate: Predicate, k: int, j: int, scan: Optional[MatchScan]
+    ) -> Optional[List[Element]]:
+        """One round at ladder level ``j``; ``None`` means the round failed.
+
+        With a ground-column ``scan`` (columnar mode), steps 1 and 3
+        read the columns only where what the scan already knows decides
+        the step (``budget=0``: no new positions); otherwise the
+        prioritized structure runs, and its complete results seed the
+        scan, so a repeat of the predicate answers from the columns.
+        """
         K_j = self._K[j]
         cap = math.ceil(self.params.slack * K_j)
         memo, pkey = self._memo, self._memo_key(predicate)
         # Step 1: if |q(D)| <= 4K_j the monitored probe fetches everything.
         # Deterministic in (predicate, cap), so a batch window reuses it.
-        # Visit-promoted: a cold flat scan loses to a sublinear ground
-        # structure on selective predicates, so a predicate's first
-        # visit stays on the structure (complete results recorded as
-        # scan seeds) and repeats answer from the columns — see
-        # ``theorem1._query_level`` for the full rationale.
-        scan = (
-            self._scans.visit(self._columns, predicate) if self._columnar else None
-        )
         probe = memo.get(("probe", pkey, cap)) if memo is not None else None
         if probe is None:
             self.stats.monitored_probes += 1
             if scan is not None:
-                probe = scan.probe(cap)
-            else:
+                probe = scan.probe(cap, budget=0)
+            if probe is None:
                 probe = self._ground.query(predicate, -math.inf, limit=cap)
-                if self._columnar and not probe.truncated:
-                    self._scans.record_seed(probe.elements, len(self._columns))
+                if scan is not None and not probe.truncated:
+                    scan.seed_prefix(probe.elements, len(self._columns))
             if memo is not None:
                 memo[("probe", pkey, cap)] = probe
         else:
@@ -459,11 +509,11 @@ class ExpectedTopKIndex(TopKIndex):
         if fetched is None:
             self.stats.threshold_fetches += 1
             if scan is not None:
-                fetched = scan.fetch(tau, limit=cap)
-            else:
+                fetched = scan.fetch(tau, limit=cap, budget=0)
+            if fetched is None:
                 fetched = self._ground.query(predicate, tau, limit=cap)
-                if self._columnar and not fetched.truncated:
-                    self._scans.record_seed(
+                if scan is not None and not fetched.truncated:
+                    scan.seed_prefix(
                         fetched.elements, self._columns.count_at_least(tau)
                     )
             if memo is not None:
@@ -478,7 +528,9 @@ class ExpectedTopKIndex(TopKIndex):
         # Step 5: success — the fetch holds > K_j >= k_eff >= k elements.
         return select_top_k(fetched.elements, k)
 
-    def _scan_answer(self, predicate: Predicate, k: int) -> List[Element]:
+    def _scan_answer(
+        self, predicate: Predicate, k: int, scan: Optional[MatchScan]
+    ) -> List[Element]:
         """Answer by reading all of ``D`` — ``O(n/B) = O(k/B)`` here.
 
         Routed through the prioritized structure with ``tau = -inf`` so
@@ -487,8 +539,8 @@ class ExpectedTopKIndex(TopKIndex):
         ground columns instead (early exit at ``k`` matches).
         """
         self.stats.full_scans += 1
-        if self._columnar:
-            return list(self._scans.get(self._columns, predicate).first(k))
+        if scan is not None:
+            return self._scan_first(scan, k)
         result = self._ground.query(predicate, -math.inf)
         return select_top_k(result.elements, k)
 

@@ -151,6 +151,49 @@ class TestMatchScan:
         assert not scan.fresh()
 
 
+class TestBudgetedScan:
+    """``budget`` caps the positions a call examines; undecided -> None."""
+
+    def setup_method(self):
+        self.elements = make_toy_elements(3000, seed=9)
+        self.columns = ColumnSet(self.elements)
+        # A narrow range: few matches, spread over the whole column.
+        self.predicate = RangePredicate(100.0, 112.0)
+        self.expected = brute_matches(self.elements, self.predicate)
+        assert 0 < len(self.expected) < 20
+
+    def test_first_within_budget_answers_or_declines(self):
+        scan = self.columns.scan(self.predicate)
+        assert scan.first(len(self.expected) + 1, budget=300) is None
+        assert scan.scanned == scan.upto == 300
+        # Reaching the end decides even with fewer than k matches.
+        answer = scan.first(len(self.expected) + 1, budget=len(self.columns))
+        assert list(answer) == self.expected
+        assert scan.scanned == len(self.columns)
+
+    def test_budget_zero_reads_only_the_known_prefix(self):
+        scan = self.columns.scan(self.predicate)
+        assert scan.probe(5, budget=0) is None
+        assert scan.fetch(-1e9, limit=5, budget=0) is None
+        assert scan.scanned == 0
+        # A complete seed decides every primitive without scanning.
+        scan.seed_prefix(self.expected, len(self.columns))
+        probe = scan.probe(len(self.expected), budget=0)
+        assert not probe.truncated and list(probe.elements) == self.expected
+        fetched = scan.fetch(-1e9, limit=len(self.expected), budget=0)
+        assert list(fetched.elements) == self.expected
+        assert list(scan.first(3, budget=0)) == self.expected[:3]
+        assert scan.scanned == 0
+
+    def test_fetch_budget_stops_inside_the_qualifying_prefix(self):
+        scan = self.columns.scan(self.predicate)
+        tau = self.expected[-1].weight  # qualifying prefix: ~all columns
+        assert scan.fetch(tau, limit=50, budget=200) is None
+        assert scan.upto == 200
+        result = scan.fetch(tau, limit=50)
+        assert list(result.elements) == self.expected
+
+
 class TestScanCache:
     def test_reuses_scan_until_version_changes(self):
         elements = make_toy_elements(100, seed=8)

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import oracle_top_k
 from repro.core.params import TuningParams
+from repro.core.problem import Element
 from repro.core.theorem2 import ExpectedTopKIndex
+from repro.structures.range1d import RangePredicate1D
+from repro.structures.range1d_dynamic import DynamicRangeTreap
 from toy import BrokenMax, LyingMax, RangePredicate, ToyMax, ToyPrioritized, make_toy_elements
 
 
@@ -96,8 +99,8 @@ class TestFailureInjection:
     def test_broken_max_still_exact(self):
         """A max structure that never answers forces every round to fail;
         escalation must end in the exact full scan.  Pin ``columnar=False``
-        so queries exercise the ladder rounds rather than the columnar
-        first-k shortcut (which never consults the max structure)."""
+        so every query exercises the ladder rounds rather than the
+        columnar bounded scan (which never consults the max structure)."""
         elements, index = build(n=400, max_factory=BrokenMax, columnar=False)
         rng = random.Random(3)
         for _ in range(20):
@@ -236,3 +239,95 @@ def test_property_matches_oracle(n, seed, k, qseed):
     rng = random.Random(qseed)
     p = random_predicate(rng, n)
     assert index.query(p, k) == oracle_top_k(elements, p, k)
+
+
+class CountingTreap(DynamicRangeTreap):
+    """The prioritized black box, counting its prioritized calls."""
+
+    prioritized_calls = 0
+
+    def query(self, predicate, tau=None, limit=None):
+        if tau is not None:
+            CountingTreap.prioritized_calls += 1
+        return super().query(predicate, tau, limit)
+
+
+#: Column positions one query may examine, at every n: the bounded
+#: direct scan's ceiling (16 * cap, reached only when the observed match
+#: rate predicts k matches within it) with cap <= 160 at these sizes.
+COLUMN_POSITION_BUDGET = 2560
+#: The typical selective query stops at 4 * cap, about one 512-position
+#: chunk.
+MEAN_COLUMN_POSITIONS = 1024
+
+
+@pytest.fixture(scope="module", params=[5_000, 40_000])
+def treap_index(request):
+    n = request.param
+    rng = random.Random(n)
+    weights = rng.sample(range(10 * n), n)
+    elements = [Element(rng.uniform(0, 1e6), float(w)) for w in weights]
+    index = ExpectedTopKIndex(elements, CountingTreap, DynamicRangeTreap, seed=n)
+    return n, elements, index
+
+
+class TestCostBound:
+    """Theorem 2's cost on the RAM (auto-columnar) path, not only answers."""
+
+    def test_index_is_columnar(self, treap_index):
+        assert treap_index[2]._columnar
+
+    def test_selective_queries_scan_a_bounded_prefix(self, treap_index):
+        n, elements, index = treap_index
+        xs = sorted(e.obj for e in elements)
+        rng = random.Random(1)
+        CountingTreap.prioritized_calls = 0
+        positions = 0
+        for _ in range(50):
+            i = rng.randrange(1, n - 21)
+            matches = rng.randint(0, 20)
+            lo = (xs[i - 1] + xs[i]) / 2
+            hi = (xs[i + matches - 1] + xs[i + matches]) / 2 if matches else lo
+            p = RangePredicate1D(lo, hi)
+            index.stats.reset()
+            assert index.query(p, 10) == oracle_top_k(elements, p, 10)
+            assert index.stats.column_positions <= COLUMN_POSITION_BUDGET, (
+                f"n={n}: a query with {matches} matches examined "
+                f"{index.stats.column_positions} column positions"
+            )
+            positions += index.stats.column_positions
+        assert positions / 50 <= MEAN_COLUMN_POSITIONS
+        # The scan could not decide most of them, so the paper's rounds ran.
+        assert CountingTreap.prioritized_calls >= 25
+
+    def test_repeat_answers_from_the_rounds_seed(self, treap_index):
+        """A repeat at larger k (the sharded coordinator's k' escalation)
+        answers from what the first visit's rounds seeded, not by
+        scanning again."""
+        n, elements, index = treap_index
+        xs = sorted(e.obj for e in elements)
+        i = n // 2
+        p = RangePredicate1D((xs[i - 1] + xs[i]) / 2, (xs[i + 14] + xs[i + 15]) / 2)
+        index.stats.reset()
+        assert index.query(p, 10) == oracle_top_k(elements, p, 10)
+        assert index.stats.monitored_probes >= 1  # the rounds answered
+        CountingTreap.prioritized_calls = 0
+        index.stats.reset()
+        assert index.query(p, 20) == oracle_top_k(elements, p, 20)
+        assert CountingTreap.prioritized_calls == 0
+        assert index.stats.column_positions == 0
+        assert index.stats.column_scans == 1
+
+    def test_broad_queries_make_no_structure_calls(self, treap_index):
+        n, elements, index = treap_index
+        rng = random.Random(2)
+        CountingTreap.prioritized_calls = 0
+        index.stats.reset()
+        for _ in range(50):
+            width = rng.uniform(0.05, 0.5) * 1e6
+            lo = rng.uniform(0, 1e6 - width)
+            p = RangePredicate1D(lo, lo + width)
+            assert index.query(p, 10) == oracle_top_k(elements, p, 10)
+        assert CountingTreap.prioritized_calls == 0
+        assert index.stats.column_scans == 50
+        assert index.stats.monitored_probes == 0

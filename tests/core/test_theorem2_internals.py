@@ -86,12 +86,37 @@ class TestLevelSelection:
 
 class TestRoundAccounting:
     def test_round_success_counts_probe(self):
-        elements, index = build(n=800, seed=5)
+        # Pinned to the rounds: in columnar mode a dense predicate is
+        # answered by the bounded direct scan, which is no round.
+        elements, index = build(n=800, seed=5, columnar=False)
         index.stats.reset()
         p = RangePredicate(-1, math.inf)
         index.query(p, 5)
         assert index.stats.monitored_probes >= 1
         assert index.stats.queries == 1
+
+    def test_budgeted_query_runs_rounds_not_the_scan(self):
+        """A round budget bounds ladder rounds, so the bounded direct
+        scan must not answer in its place."""
+        from repro.resilience.errors import RetryBudgetExhausted
+
+        elements, index = build(n=800, seed=5)
+        p = RangePredicate(-1, math.inf)
+        with pytest.raises(RetryBudgetExhausted):
+            index.query(p, 5, round_budget=0)
+        assert index.query(p, 5, round_budget=50) == oracle_top_k(elements, p, 5)
+        assert index.stats.column_scans == 0
+        assert index.stats.monitored_probes >= 1
+
+    def test_direct_scan_is_not_booked_as_a_probe(self):
+        elements, index = build(n=800, seed=5)
+        index.stats.reset()
+        p = RangePredicate(-1, math.inf)
+        assert index.query(p, 5) == oracle_top_k(elements, p, 5)
+        assert index.stats.column_scans == 1
+        assert index.stats.monitored_probes == 0
+        assert index.stats.threshold_fetches == 0
+        assert 0 < index.stats.column_positions <= 512
 
     def test_sigma_controls_ladder_height(self):
         elements = make_toy_elements(4000, 6)
