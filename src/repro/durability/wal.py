@@ -28,6 +28,8 @@ state) skips the duplicate records — replaying twice is a no-op.
 from __future__ import annotations
 
 import zlib
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -76,6 +78,13 @@ class WriteAheadLog:
         # would be silently lost (its pending buffer is consumed the
         # moment commit() starts).
         self._inflight: Optional[Tuple[List[Tuple], int]] = None
+        # Where each commit group of the current chain starts: its first
+        # LSN, block id, and chain sequence number.  Every group opens on
+        # a fresh block and sealed blocks are never rewritten, so
+        # :meth:`read_since` can enter the chain at any group.
+        self._group_lsns = array("q")
+        self._group_blocks = array("q")
+        self._group_seqs = array("q")
         # Everything before this log's birth is, by definition, already
         # durable and applied (it lives in the snapshot the log extends).
         self.committed_lsn = next_lsn - 1
@@ -144,6 +153,11 @@ class WriteAheadLog:
         ops = list(self._pending)
         self._pending.clear()
         records = ops + [("COMMIT", ops[-1][1], _group_crc(ops))]
+        # Recorded before the write: a group whose commit faults resumes
+        # in place, so its start stays where the first attempt put it.
+        self._group_lsns.append(ops[0][1])
+        self._group_blocks.append(self._open)
+        self._group_seqs.append(self._next_seq)
         self._write_group(records, 0)
         self._inflight = None
         self.committed_lsn = ops[-1][1]
@@ -188,10 +202,30 @@ class WriteAheadLog:
         self._open = self.head
         self._next_seq = 0
         self._chain_dirty = False
+        del self._group_lsns[:], self._group_blocks[:], self._group_seqs[:]
         # On a log-structured store the old chain's blocks re-enter
         # service once the superblock commit that stops referencing
         # them lands; the plain store just abandons them.
         self.store.retire_chain(old_head)
+
+    def read_since(self, after_lsn: int) -> Tuple[List[List[WALRecord]], int]:
+        """``read_committed(store, head, after_lsn)``, without the prefix.
+
+        Bisects the group index for the group holding ``after_lsn + 1``
+        and walks the chain from that group's block, so the read costs
+        the blocks of the groups above the watermark (plus the open tail
+        block) instead of every block since the last checkpoint.  A
+        watermark before the chain's first group walks from the head.
+        Blocks below the entry point are not re-verified: a replication
+        follower already holds their records, and bit rot there is the
+        scrubber's job.
+        """
+        i = bisect_right(self._group_lsns, after_lsn + 1) - 1
+        if i < 0:
+            return read_committed(self.store, self.head, after_lsn)
+        return _read_chain(
+            self.store, self._group_blocks[i], self._group_seqs[i], after_lsn
+        )
 
 
 def read_committed(
@@ -206,19 +240,34 @@ def read_committed(
 
     ``after_lsn`` makes the read *incremental*: records with LSN
     ``<= after_lsn`` are filtered out without being decoded, and groups
-    that fall entirely at or below the watermark are skipped.  This is
-    the tail a replication follower fetches on every ship — calling
-    again with the last LSN it acknowledged resumes exactly where the
-    previous ship stopped, including across a torn tail (the torn group
-    was never committed, so it is never shipped, and re-appears in a
-    later read once its re-commit lands).  Group CRCs are verified over
-    the *full* group regardless of the watermark.
+    that fall entirely at or below the watermark are skipped.  Calling
+    again with the last LSN a reader acknowledged resumes exactly where
+    its previous read stopped, including across a torn tail (the torn
+    group was never committed, so it is never returned, and re-appears
+    in a later read once its re-commit lands).  Group CRCs are verified
+    over the *full* group regardless of the watermark.
+
+    The walk still starts at ``head``, so every sealed block of the
+    chain is read and verified: recovery, the scrubber's resync, and a
+    follower's own catch-up rely on that.  A replication ship instead
+    uses :meth:`WriteAheadLog.read_since`, which returns the same
+    groups but enters the chain at the group holding ``after_lsn + 1``
+    and so no longer re-verifies blocks below the follower's watermark.
     """
     if head is None:
         return [], 0
+    return _read_chain(store, head, 0, after_lsn)
+
+
+def _read_chain(
+    store: DurableStore, block_id: Optional[int], expect_seq: int, after_lsn: int
+) -> Tuple[List[List[WALRecord]], int]:
+    """Walk sealed chain blocks from ``block_id`` (sequence ``expect_seq``).
+
+    ``block_id`` must be the first block of a commit group; see
+    :func:`read_committed` for what ends the walk and what is returned.
+    """
     raw: List[Tuple] = []
-    block_id: Optional[int] = head
-    expect_seq = 0
     while block_id is not None:
         try:
             payload = store.read_sealed(block_id)

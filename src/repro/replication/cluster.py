@@ -6,16 +6,21 @@ index — coordinated by three mechanisms:
 
 * **synchronous WAL shipping** — every update goes to the primary's
   durable log first; the committed tail is then shipped to each live
-  follower via the incremental
-  :func:`~repro.durability.wal.read_committed` (``after_lsn`` = the
-  follower's own durable LSN) and spliced onto the follower's log with
-  :meth:`DurableTopKIndex.apply_shipped`.  A follower's acknowledgement
-  is its *own durable commit*, so any record the set ever acknowledged
-  is durable on every follower that acked it — promotion by highest
-  durable LSN therefore never loses an acknowledged write.  Followers
-  apply **lazily** by default: records are durable immediately but
-  folded into the in-memory index only when a freshness-bounded read,
-  a checkpoint, or a promotion demands it;
+  follower and spliced onto the follower's log with
+  :meth:`DurableTopKIndex.apply_shipped`.  The tail is read with
+  :meth:`~repro.durability.wal.WriteAheadLog.read_since` (``after_lsn``
+  = the follower's own durable LSN), which enters the primary's chain
+  at the group holding the follower's next record: a ship reads O(1)
+  log blocks per write, not the whole log since the last checkpoint.
+  Blocks below the watermark are not re-verified on a ship — the
+  follower already holds them, and bit rot there is the scrubber's
+  job.  A follower's acknowledgement is its *own durable commit*, so
+  any record the set ever acknowledged is durable on every follower
+  that acked it — promotion by highest durable LSN therefore never
+  loses an acknowledged write.  Followers apply **lazily** by default:
+  records are durable immediately but folded into the in-memory index
+  only when a freshness-bounded read, a checkpoint, or a promotion
+  demands it;
 * **deterministic failover** — a :class:`SimulatedCrash` on the
   primary (or a condemned fault streak, per
   :class:`~repro.replication.failover.FailoverPolicy`) triggers
@@ -72,7 +77,7 @@ from repro.core.interfaces import TopKIndex
 from repro.core.problem import Element, Predicate
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.wal import OP_DELETE, OP_INSERT, read_committed
+from repro.durability.wal import OP_DELETE, OP_INSERT
 from repro.net.fabric import (
     MSG_LEASE_RENEW,
     MSG_RESYNC,
@@ -849,6 +854,15 @@ class ReplicaSet(TopKIndex):
         left off).  A :class:`PartitionedError` is a property of the
         *link*, not the machine: it never feeds the failure detector's
         streak and never condemns the follower.
+
+        Each follower's tail is read with
+        :meth:`~repro.durability.wal.WriteAheadLog.read_since`, which
+        starts at the primary's commit group holding the follower's
+        next LSN: a steady-state ship reads that group's blocks and the
+        open tail block, however long the log since the last
+        checkpoint.  Blocks below the watermark are not re-verified —
+        the follower already holds them, and bit rot there is the
+        scrubber's job.
         """
         # Complete any group commit whose flush faulted transiently.
         primary.durable.commit()
@@ -882,11 +896,7 @@ class ReplicaSet(TopKIndex):
             if follower.durable_lsn >= committed:
                 acked += 1
                 continue
-            groups, _ = read_committed(
-                primary.store,
-                primary.durable.wal.head,
-                after_lsn=follower.durable_lsn,
-            )
+            groups, _ = primary.durable.wal.read_since(follower.durable_lsn)
             try:
                 appended = self._ship_groups(primary, follower, groups)
             except PartitionedError:

@@ -1,6 +1,8 @@
 """Write-ahead log: group commit, torn tails, idempotent replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import Element
 from repro.durability.store import DurableStore
@@ -10,6 +12,8 @@ from repro.durability.wal import (
     WriteAheadLog,
     read_committed,
 )
+from repro.resilience.errors import TransientIOError
+from repro.resilience.faults import FaultPlan
 
 
 def elements(n, offset=0):
@@ -259,6 +263,80 @@ class TestIncrementalReads:
         store.ctx.drop_cache()
         groups, _ = read_committed(store, wal.head, after_lsn=2)
         assert groups == []  # the damaged group is rejected wholesale
+
+
+# One step of a log's life: commit a group (optionally appending and
+# rolling back one extra record first), commit a group whose write-back
+# faults at its k-th block and is then resumed, or truncate.
+_WAL_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("group"), st.integers(1, 9), st.booleans()),
+        st.tuples(st.just("fault"), st.integers(1, 9), st.integers(0, 4)),
+        st.tuples(st.just("truncate")),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestReadSince:
+    """``WriteAheadLog.read_since``: the ship read that skips the prefix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.sampled_from([4, 5, 8]), steps=_WAL_STEPS)
+    def test_equals_a_head_walk_at_every_watermark(self, B, steps):
+        store = DurableStore(B=B)
+        plan = FaultPlan()
+        store.ctx.attach_fault_plan(plan)
+        wal = WriteAheadLog(store)
+        offset = 0
+
+        def check():
+            for w in range(wal.last_lsn + 2):
+                assert wal.read_since(w) == read_committed(
+                    store, wal.head, after_lsn=w
+                ), w
+
+        for step in steps:
+            if step[0] == "truncate":
+                wal.truncate()
+                check()
+                continue
+            size = step[1]
+            for element in elements(size, offset=offset):
+                wal.append(OP_INSERT, element)
+            offset += size
+            if step[0] == "group":
+                if step[2]:
+                    wal.append(OP_DELETE, elements(1)[0])
+                    wal.rollback_last()
+                wal.commit()
+            else:
+                # A group's write-back is one transfer per chain block.
+                blocks = -(-(size + 1) // store.chain_capacity)
+                plan.schedule_phase(at_io=1 + step[2] % blocks, write_fail_rate=1.0)
+                with pytest.raises(TransientIOError):
+                    wal.commit()
+                plan.write_fail_rate = 0.0
+                check()
+                wal.commit()  # resumes the faulted group in place
+            check()
+
+    def test_costs_the_groups_above_the_watermark(self):
+        store = DurableStore(B=8)
+        wal = WriteAheadLog(store)
+        for batch in range(50):
+            wal.append(OP_INSERT, Element(batch, float(batch)))
+            wal.commit()
+        store.ctx.drop_cache()
+        before = store.ctx.stats.reads
+        groups, _ = wal.read_since(49)
+        assert [r.lsn for g in groups for r in g] == [50]
+        assert store.ctx.stats.reads - before == 2  # the group + open tail
+        store.ctx.drop_cache()
+        before = store.ctx.stats.reads
+        assert read_committed(store, wal.head, after_lsn=49) == (groups, 0)
+        assert store.ctx.stats.reads - before == 51
 
 
 class TestAppliedLsn:

@@ -126,23 +126,63 @@ class TestRetrySemantics:
         sizes = {cluster.primary.durable.inner.n}
         assert sizes == {51}
 
-    def test_double_crash_falls_through_to_the_last_replica(self, cluster):
+    @staticmethod
+    def _double_crash_run(successor_crash_at=None):
+        """Primary dies on its next I/O, then three inserts run.
+
+        With ``successor_crash_at`` set, the successor (the follower
+        that wins the first election) is scheduled to die at that I/O.
+        Returns the cluster, the successor, and two points on the
+        successor's I/O counter, counted from the moment the crashes are
+        scheduled (as ``schedule_crash`` counts): the transfers its
+        promotion used, and the transfers used by the end of the third
+        insert.
+        """
+        cluster = make_cluster()
         for i in range(40, 45):
             cluster.insert(elem(i))
-        first, second = [r for r in cluster.replicas if not r.is_primary]
+        successor = min(
+            (r for r in cluster.replicas if not r.is_primary),
+            key=lambda r: r.name,
+        )
+
+        def transfers():
+            stats = successor.durable.durability_io
+            return stats.reads + stats.writes
+
+        start = transfers()
+        promoted_at = []
+        promote = cluster.failover.promote
+
+        def traced_promote(replica):
+            replayed = promote(replica)
+            if replica is successor:
+                promoted_at.append(transfers() - start)
+            return replayed
+
+        cluster.failover.promote = traced_promote
         cluster.primary.plan.schedule_crash(at_io=1)
-        # The successor dies during its very first post-promotion write.
-        expected_successor = min(first.name, second.name)
-        for replica in (first, second):
-            if replica.name == expected_successor:
-                replica.plan.schedule_crash(at_io=30)
-        cluster.insert(elem(45))
-        cluster.insert(elem(46))
-        cluster.insert(elem(47))
-        assert cluster.stats.primary_crashes == 2
-        assert cluster.stats.promotions == 2
-        answer = cluster.query(RangePredicate(0, 10_000), 3, mode="primary")
-        assert [e.obj for e in answer] == [47, 46, 45]
+        if successor_crash_at is not None:
+            successor.plan.schedule_crash(at_io=successor_crash_at)
+        for i in (45, 46, 47):
+            cluster.insert(elem(i))
+        return cluster, successor, promoted_at, transfers() - start
+
+    def test_double_crash_falls_through_to_the_last_replica(self):
+        # Dry run: the I/O positions of the successor's writes as primary.
+        cluster, successor, promoted_at, last = self._double_crash_run()
+        assert cluster.stats.promotions == 1 and successor.is_primary
+        window = range(promoted_at[0] + 1, last + 1)
+        assert len(window) > 0
+        # The successor dies at every one of those positions in turn;
+        # the last replica must take over without losing a write.
+        for at_io in window:
+            cluster, successor, _, _ = self._double_crash_run(at_io)
+            assert not successor.alive, at_io
+            assert cluster.stats.primary_crashes == 2, at_io
+            assert cluster.stats.promotions == 2, at_io
+            answer = cluster.query(RangePredicate(0, 10_000), 3, mode="primary")
+            assert [e.obj for e in answer] == [47, 46, 45], at_io
 
 
 class TestRebuildRung:

@@ -73,6 +73,24 @@ class TestShipping:
         assert set(cluster.replica_lag().values()) == {0}
 
 
+class TestShipCost:
+    def test_ship_reads_do_not_grow_with_the_log(self, cluster):
+        """A ship enters the primary's log at the follower's watermark:
+        with no checkpoint, write 300 costs the primary as many block
+        reads as write 1 did, not a walk of the whole log."""
+        primary = cluster.primary
+        reads = []
+        for i in range(40, 340):
+            before = primary.durable.durability_io.reads
+            cluster.insert(elem(i))
+            reads.append(primary.durable.durability_io.reads - before)
+        assert cluster.primary is primary
+        assert primary.durable.checkpoints == 1  # the initial one only
+        first, last = reads[:50], reads[-50:]
+        assert sum(last) == sum(first)
+        assert max(first + last) <= 4  # two followers, one group each
+
+
 class TestShipFaults:
     def test_faulty_follower_catches_up_on_the_next_ship(self):
         from repro.replication import FailoverPolicy
