@@ -15,7 +15,7 @@ things:
   visit-promoted :class:`~repro.core.columnar.MatchScan` objects answer
   repeats from the flat columns (dense predicates prove truncation by
   early exit, sparse ones materialize their seeded match sets), which
-  the legacy path has no analogue of outside ``batched()`` windows.
+  the legacy path has no analogue of.
 
 The two reductions make different claims, and the floors encode that
 honestly.  Theorem 2 answers a columnar query by a *bounded* direct

@@ -19,9 +19,8 @@ hot path:
   :class:`ColumnSet`.  It remembers its frontier and every match found
   so far, so a monitored probe, a thresholded fetch, and a larger-``k``
   retry over the same predicate all *resume* one traversal instead of
-  repeating it — this is the array-backed representation behind
-  ``batched()`` memo windows (a scan is a ``(ColumnSet ref, prefix)``
-  pair, not a copied element list).
+  repeating it.  A per-index :class:`ScanCache` keeps scans live until
+  the next update, so a repeated predicate resumes its scan.
 * a **compiled-predicate cache** — per ``predicate_key``, a closure
   specialized to the concrete predicate shape (fields hoisted into
   locals) replaces virtual ``matches()`` dispatch inside scan chunks.
@@ -45,7 +44,6 @@ benches and fault-injection sweeps measure (see :func:`auto_columnar`).
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
@@ -68,19 +66,6 @@ from repro.core.problem import Element, Predicate
 #: membership tests keeps interpreter overhead per element low while
 #: early exits still stop within one chunk of the needed prefix.
 _CHUNK = 512
-
-#: Monotonic ids for structures that key shared memo windows.  ``id()``
-#: is unusable for this: a window outlives structures (guard rebuilds,
-#: ladder reconstruction) and CPython reuses freed addresses, so two
-#: structures alive at *different* times could alias one another's
-#: memoized answers.  A process-wide counter can never collide.
-_structure_ids = itertools.count(1)
-
-
-def next_structure_id() -> int:
-    """A process-unique monotonic id for memo-window keying."""
-    return next(_structure_ids)
-
 
 # ----------------------------------------------------------------------
 # Global enable switch (tests and --compare runs flip it)
@@ -280,9 +265,8 @@ class MatchScan:
     monitored probe, thresholded fetch, direct top-k — is a resumption
     of the same traversal, so repeats over one predicate (different
     ``k`` values in a batch, a probe followed by its thresholded fetch,
-    a guard retry) never rescan a prefix.  Holding ``(columns, upto,
-    positions)`` instead of copied element lists is what makes
-    ``batched()`` memo windows array-backed.
+    a guard retry) never rescan a prefix.  It holds ``(columns, upto,
+    positions)``, not copied element lists.
     """
 
     __slots__ = (
@@ -498,10 +482,12 @@ class ScanCache:
       materialize their seeded match set).
     """
 
-    __slots__ = ("max_entries", "_scans", "_pending", "_last")
+    __slots__ = ("max_entries", "hits", "_scans", "_pending", "_last")
 
     def __init__(self, max_entries: int = 1024) -> None:
         self.max_entries = max_entries
+        #: :meth:`get` calls answered by a scan that was already live.
+        self.hits = 0
         self._scans: Dict[Hashable, MatchScan] = {}
         #: First-visit records: key -> [columns, version, seed-or-None].
         self._pending: Dict[Hashable, list] = {}
@@ -522,6 +508,8 @@ class ScanCache:
             if len(self._scans) >= self.max_entries:
                 self._scans.clear()
             self._scans[key] = scan
+        else:
+            self.hits += 1
         return scan
 
     def visit(self, columns: ColumnSet, predicate: Predicate) -> Optional[MatchScan]:
@@ -570,13 +558,6 @@ class ScanCache:
         if seed is None or upto > seed[1]:
             record[2] = (elements, upto)
 
-    def peek(self, predicate: Predicate) -> Optional[MatchScan]:
-        """The cached scan if present and fresh, else ``None``."""
-        scan = self._scans.get(predicate_key(predicate))
-        if scan is not None and not scan.fresh():
-            return None
-        return scan
-
     def clear(self) -> None:
         self._scans.clear()
         self._pending.clear()
@@ -592,7 +573,6 @@ __all__ = [
     "columnar_disabled",
     "columnar_enabled",
     "compiled_matcher",
-    "next_structure_id",
     "predicate_key",
     "register_predicate_compiler",
     "set_columnar_enabled",

@@ -149,9 +149,9 @@ class TopKIndex(ABC):
         groups requests by predicate shape and pays one traversal per
         group at the group's largest ``k`` — exact for every member
         because top-k answers are prefix-closed under the distinct
-        total weight order.  Subclasses override to share more work
-        (the reductions additionally memoize sub-probes for the batch's
-        duration); every override must return exactly what serial
+        total weight order.  Subclasses override only to change how
+        groups are dispatched (a sharded index fans them out across
+        shards); every override must return exactly what serial
         :meth:`query` calls would have.
         """
         from repro.serving.batch import execute_batch

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
@@ -43,8 +42,6 @@ from repro.core.columnar import (
     ScanCache,
     auto_columnar,
     columnar_enabled,
-    next_structure_id,
-    predicate_key,
 )
 from repro.core.coreset import (
     CoresetHierarchy,
@@ -61,14 +58,20 @@ from repro.resilience.errors import SerializationError
 
 @dataclass
 class ReductionStats:
-    """Per-index counters exposed to the benchmarks."""
+    """Per-index counters exposed to the benchmarks.
+
+    ``memo_hits`` counts Theorem 2 queries whose ground-column scan was
+    already live in the index's :class:`~repro.core.columnar.ScanCache`
+    (the predicate was queried since the last update), so the query
+    resumed it instead of starting a fresh one.  Theorem 1 books none,
+    though its ground and per-level scans resume the same way.
+    """
 
     queries: int = 0
     monitored_probes: int = 0
     threshold_fetches: int = 0
     fallbacks: int = 0
     full_scans: int = 0
-    batch_queries: int = 0
     memo_hits: int = 0
     #: Theorem 2: queries answered by its bounded direct column scan.
     column_scans: int = 0
@@ -81,7 +84,6 @@ class ReductionStats:
         self.threshold_fetches = 0
         self.fallbacks = 0
         self.full_scans = 0
-        self.batch_queries = 0
         self.memo_hits = 0
         self.column_scans = 0
         self.column_positions = 0
@@ -112,11 +114,6 @@ class _TopFStructure:
         self.f = f
         self.params = params
         self.stats = stats
-        #: Monotonic id keying shared memo windows.  ``id(self)`` is not
-        #: usable: a long-lived window can outlive this structure, and a
-        #: successor allocated at the same address would then alias its
-        #: memoized answers.  The counter never repeats in a process.
-        self.sid = next_structure_id()
         # A prebuilt hierarchy (snapshot restore) skips the sampling —
         # the recorded levels *are* the coin flips being replayed.
         if hierarchy is None:
@@ -177,28 +174,9 @@ class _TopFStructure:
         return self._level_cache(j).get(self._level_columns(j), predicate)
 
     # ------------------------------------------------------------------
-    def top_f(
-        self, predicate: Predicate, memo: Optional[dict] = None
-    ) -> List[Element]:
-        """The up-to-``f`` heaviest elements of ``q(levels[0])``, heaviest first.
-
-        ``memo`` (a :meth:`WorstCaseTopKIndex.batched` window) caches
-        the whole chain descent per predicate: a second top-f on the
-        same predicate inside the window — different ``k`` values of a
-        batch landing on the same ladder level, or a guard retry after
-        a transient fault — reuses the traversal instead of repeating
-        it.
-        """
-        if memo is None:
-            return self._query_level(0, predicate)
-        key = (self.sid, predicate_key(predicate))
-        cached = memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            return cached
-        answer = self._query_level(0, predicate)
-        memo[key] = answer
-        return answer
+    def top_f(self, predicate: Predicate) -> List[Element]:
+        """The up-to-``f`` heaviest elements of ``q(levels[0])``, heaviest first."""
+        return self._query_level(0, predicate)
 
     def _query_level(self, j: int, predicate: Predicate) -> List[Element]:
         # The columnar branches answer each probe/fetch from the level's
@@ -226,7 +204,7 @@ class _TopFStructure:
         # is recorded as a seed.  The second visit promotes to a live
         # scan: dense predicates prove truncation by early exit, sparse
         # ones materialize their seeded match set, and further repeats
-        # (batch windows, guard retries, ladder re-descents) answer
+        # (other ``k`` values, guard retries, ladder re-descents) answer
         # from the columns without re-traversing.
         if columnar:
             cache = self._level_cache(j)
@@ -332,7 +310,6 @@ class WorstCaseTopKIndex(TopKIndex):
         self.B = B
         self.stats = ReductionStats()
         self.applied_lsn = 0
-        self._memo: Optional[dict] = None
         rng = rng if rng is not None else random.Random(seed)
 
         self._ground = factory(self._elements)
@@ -393,39 +370,6 @@ class WorstCaseTopKIndex(TopKIndex):
         if lsn > self.applied_lsn:
             self.applied_lsn = lsn
 
-    @contextmanager
-    def batched(self):
-        """A shared-traversal window for a batch of queries.
-
-        Inside the window, repeated core-set descents (``top_f`` per
-        predicate) are memoized, so queries that the batch planner did
-        not merge — same predicate at ``k`` values landing on the same
-        ladder level, or a retry re-running a query after a transient
-        fault — skip work already done.  The memo must not outlive the
-        batch: the structure is static, but the window is the unit at
-        which answers were planned.  Nested windows share the outermost
-        memo.
-        """
-        previous = self._memo
-        self._memo = {} if previous is None else previous
-        try:
-            yield self
-        finally:
-            self._memo = previous
-
-    def query_topk_batch(self, requests, **kwargs) -> List[List[Element]]:
-        """Batched queries: one traversal per predicate group, memo on.
-
-        See :meth:`TopKIndex.query_topk_batch` for the grouping
-        contract; this override additionally opens a :meth:`batched`
-        memo window for the batch's duration.
-        """
-        from repro.serving.batch import execute_batch
-
-        self.stats.batch_queries += len(requests)
-        with self.batched():
-            return execute_batch(self, requests, **kwargs)
-
     def query(self, predicate: Predicate, k: int) -> List[Element]:
         """Exact top-k answer, heaviest first."""
         self.stats.queries += 1
@@ -435,7 +379,7 @@ class WorstCaseTopKIndex(TopKIndex):
         if n == 0:
             return []
         if k <= self.f:
-            top = self._small.top_f(predicate, memo=self._memo)
+            top = self._small.top_f(predicate)
             return top[:k]
         if k >= n / 2:
             # O(n/B) = O(k/B): scan everything — columnar when the
@@ -480,7 +424,7 @@ class WorstCaseTopKIndex(TopKIndex):
         if not probe.truncated:
             return select_top_k(probe.elements, k)
         # |q(D)| > 4K: obtain a threshold from the ladder's top-f answer.
-        top_f = self._ladder[i - 1].top_f(predicate, memo=self._memo)
+        top_f = self._ladder[i - 1].top_f(predicate)
         rank = max(1, math.ceil(2.0 * K * self._ladder_rates[i - 1]))
         if rank <= len(top_f):
             threshold = top_f[rank - 1].weight
@@ -587,7 +531,6 @@ class WorstCaseTopKIndex(TopKIndex):
         self.B = state["B"]
         self.stats = ReductionStats()
         self.applied_lsn = 0
-        self._memo = None
         self._ground = factory(elements)
         self._init_columnar(None)
         self.f = state["f"]

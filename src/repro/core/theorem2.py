@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -40,7 +39,6 @@ from repro.core.columnar import (
     ScanCache,
     auto_columnar,
     columnar_enabled,
-    predicate_key,
 )
 from repro.core.interfaces import (
     DynamicMaxIndex,
@@ -117,7 +115,6 @@ class ExpectedTopKIndex(TopKIndex):
         self._rng = rng if rng is not None else random.Random(seed)
         self.stats = ReductionStats()
         self.applied_lsn = 0
-        self._memo: Optional[dict] = None
         #: ``None`` auto-detects per build (RAM ground -> on, EM -> off);
         #: an explicit bool pins the mode (tests of the ladder machinery
         #: pass ``False`` to exercise the black-box rounds).
@@ -261,7 +258,6 @@ class ExpectedTopKIndex(TopKIndex):
         self._rng.setstate(state["rng_state"])
         self.stats = ReductionStats()
         self.applied_lsn = 0
-        self._memo = None
         elements: List[Element] = list(state["elements"])
         require_distinct_weights(elements, "ExpectedTopKIndex.restore")
         self._elements = dict.fromkeys(elements)
@@ -293,40 +289,6 @@ class ExpectedTopKIndex(TopKIndex):
             self._samples.append(sample)
             self._max_indexes.append(max_factory(list(sample)))
         return self
-
-    @contextmanager
-    def batched(self):
-        """A shared-probe window for a batch of queries.
-
-        Inside the window the escalation ladder memoizes its
-        deterministic sub-probes per predicate — the step-1 monitored
-        ground probe, the step-2 max-structure probe, and the step-3
-        thresholded fetch — so queries the batch planner did not merge
-        (or a guard retry re-running a query after a transient fault
-        aborted it mid-ladder) reuse completed rounds instead of
-        repeating them.  Updates inside the window clear the memo: a
-        memoized probe must never survive a state change.  Nested
-        windows share the outermost memo.
-        """
-        previous = self._memo
-        self._memo = {} if previous is None else previous
-        try:
-            yield self
-        finally:
-            self._memo = previous
-
-    def query_topk_batch(self, requests, **kwargs) -> List[List[Element]]:
-        """Batched queries: one traversal per predicate group, memo on.
-
-        See :meth:`TopKIndex.query_topk_batch` for the grouping
-        contract; this override additionally opens a :meth:`batched`
-        probe-memo window for the batch's duration.
-        """
-        from repro.serving.batch import execute_batch
-
-        self.stats.batch_queries += len(requests)
-        with self.batched():
-            return execute_batch(self, requests, **kwargs)
 
     def query(
         self, predicate: Predicate, k: int, round_budget: Optional[int] = None
@@ -383,22 +345,12 @@ class ExpectedTopKIndex(TopKIndex):
     def _scan_for(self, predicate: Predicate) -> MatchScan:
         """The resumable ground-column scan for ``predicate``.
 
-        Inside a ``batched()`` window the scan itself is the memoized
-        artifact — a ``(columns, frontier, match positions)`` triple,
-        not a copied answer list — so the window's repeats (same
-        predicate at other ``k`` values, guard retries) resume what
-        earlier visits scanned or seeded; a window repeat counts a memo
-        hit.
+        A scan still live in the cache (the predicate was queried since
+        the last update) is resumed and booked as a memo hit.
         """
-        memo = self._memo
-        if memo is None:
-            return self._scans.get(self._columns, predicate)
-        key = ("cscan", predicate_key(predicate))
-        scan = memo.get(key)
-        if scan is None:
-            scan = memo[key] = self._scans.get(self._columns, predicate)
-        else:
-            self.stats.memo_hits += 1
+        hits = self._scans.hits
+        scan = self._scans.get(self._columns, predicate)
+        self.stats.memo_hits += self._scans.hits - hits
         return scan
 
     def _scan_first(
@@ -457,12 +409,6 @@ class ExpectedTopKIndex(TopKIndex):
                 lo = mid + 1
         return lo
 
-    def _memo_key(self, predicate: Predicate):
-        """The per-predicate memo handle, or ``None`` outside a window."""
-        if self._memo is None:
-            return None
-        return predicate_key(predicate)
-
     def _round(
         self, predicate: Predicate, k: int, j: int, scan: Optional[MatchScan]
     ) -> Optional[List[Element]]:
@@ -476,50 +422,27 @@ class ExpectedTopKIndex(TopKIndex):
         """
         K_j = self._K[j]
         cap = math.ceil(self.params.slack * K_j)
-        memo, pkey = self._memo, self._memo_key(predicate)
         # Step 1: if |q(D)| <= 4K_j the monitored probe fetches everything.
-        # Deterministic in (predicate, cap), so a batch window reuses it.
-        probe = memo.get(("probe", pkey, cap)) if memo is not None else None
+        self.stats.monitored_probes += 1
+        probe = scan.probe(cap, budget=0) if scan is not None else None
         if probe is None:
-            self.stats.monitored_probes += 1
-            if scan is not None:
-                probe = scan.probe(cap, budget=0)
-            if probe is None:
-                probe = self._ground.query(predicate, -math.inf, limit=cap)
-                if scan is not None and not probe.truncated:
-                    scan.seed_prefix(probe.elements, len(self._columns))
-            if memo is not None:
-                memo[("probe", pkey, cap)] = probe
-        else:
-            self.stats.memo_hits += 1
+            probe = self._ground.query(predicate, -math.inf, limit=cap)
+            if scan is not None and not probe.truncated:
+                scan.seed_prefix(probe.elements, len(self._columns))
         if not probe.truncated:
             return select_top_k(probe.elements, k)
-        # Step 2: max probe on the sample R_j (memo key includes the
-        # level: each R_j is its own structure).
-        if memo is not None and ("max", pkey, j) in memo:
-            self.stats.memo_hits += 1
-            top_sampled = memo[("max", pkey, j)]
-        else:
-            top_sampled = self._max_indexes[j].query(predicate)
-            if memo is not None:
-                memo[("max", pkey, j)] = top_sampled
+        # Step 2: max probe on the sample R_j.
+        top_sampled = self._max_indexes[j].query(predicate)
         tau = top_sampled.weight if top_sampled is not None else -math.inf
         # Step 3: cost-monitored prioritized fetch at threshold tau.
-        fetched = memo.get(("fetch", pkey, tau, cap)) if memo is not None else None
+        self.stats.threshold_fetches += 1
+        fetched = scan.fetch(tau, limit=cap, budget=0) if scan is not None else None
         if fetched is None:
-            self.stats.threshold_fetches += 1
-            if scan is not None:
-                fetched = scan.fetch(tau, limit=cap, budget=0)
-            if fetched is None:
-                fetched = self._ground.query(predicate, tau, limit=cap)
-                if scan is not None and not fetched.truncated:
-                    scan.seed_prefix(
-                        fetched.elements, self._columns.count_at_least(tau)
-                    )
-            if memo is not None:
-                memo[("fetch", pkey, tau, cap)] = fetched
-        else:
-            self.stats.memo_hits += 1
+            fetched = self._ground.query(predicate, tau, limit=cap)
+            if scan is not None and not fetched.truncated:
+                scan.seed_prefix(
+                    fetched.elements, self._columns.count_at_least(tau)
+                )
         # Step 4: the round fails if the fetch truncated (> 4K_j matches
         # above tau) or came back too small (<= K_j, not enough for k).
         if fetched.truncated or len(fetched.elements) <= K_j:
@@ -564,8 +487,6 @@ class ExpectedTopKIndex(TopKIndex):
                 "pre-process inserts with ensure_distinct_weights()"
             )
         ground = self._require_dynamic_ground()
-        if self._memo is not None:
-            self._memo.clear()  # memoized probes must not survive updates
         self._scans.clear()
         self._elements[element] = None
         self._weights.add(element.weight)
@@ -584,8 +505,6 @@ class ExpectedTopKIndex(TopKIndex):
         if element not in self._elements:
             raise ElementMembershipError(f"element not present: {element!r}")
         ground = self._require_dynamic_ground()
-        if self._memo is not None:
-            self._memo.clear()  # memoized probes must not survive updates
         self._scans.clear()
         del self._elements[element]
         self._weights.discard(element.weight)

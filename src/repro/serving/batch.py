@@ -16,11 +16,11 @@ each reduction traversal once:
 * members inside a group are sorted by descending ``k`` so the group's
   cost is decided by its head and every other member is a slice.
 
-:func:`execute_batch` is the engine-independent executor used by
-:meth:`repro.core.interfaces.TopKIndex.query_topk_batch`; the
-reductions override that hook only to wrap execution in their
-:meth:`batched` probe-memo window (see ``theorem1.py`` /
-``theorem2.py``).
+:func:`execute_batch` is the engine-independent executor behind
+:meth:`repro.core.interfaces.TopKIndex.query_topk_batch`, which both
+reductions inherit unchanged.  Work shared *across* groups (a predicate
+repeated since the last update) is the reductions' own scan cache's
+job, not the batch's.
 """
 
 from __future__ import annotations

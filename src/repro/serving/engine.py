@@ -570,8 +570,7 @@ class ServingEngine(TopKIndex):
             # A sharded backend owns its own fan-out: groups are
             # partitioned across the pool's workers and each worker
             # runs whole scatter-gathers (per-shard locks serialize
-            # machine access), with every shard's probe-memo window
-            # open for the batch's duration.
+            # machine access).
             if self._pool is not None and len(groups) >= self.parallel_threshold:
                 with self.stats.lock:
                     self.stats.parallel_batches += 1
@@ -591,12 +590,6 @@ class ServingEngine(TopKIndex):
             servers = self._cluster.serving_replicas(self.max_staleness)
             if len(servers) > 1:
                 return self._dispatch_parallel(groups, servers)
-        window = getattr(self.backend, "batched", None)
-        if window is not None:
-            # A raw reduction backend: share its memoized sub-probes
-            # across the whole batch, not just within one group.
-            with window():
-                return [self._query_backend(g.predicate, g.max_k) for g in groups]
         return [self._query_backend(g.predicate, g.max_k) for g in groups]
 
     def _query_backend(self, predicate: Predicate, k: int) -> List[Element]:

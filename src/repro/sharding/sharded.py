@@ -61,14 +61,12 @@ router epoch + shard failover epochs, LSN = summed applied LSNs) so
 the LSN-versioned result cache works unchanged, and
 :meth:`batch_groups` fans a batch's predicate groups out across a
 thread pool — each worker runs whole scatter-gathers, every machine
-touch under its shard's lock, with every shard's reduction probe-memo
-window (``batched()``) open for the batch's duration.
+touch under its shard's lock.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -541,22 +539,6 @@ class ShardedTopKIndex(TopKIndex):
     # ------------------------------------------------------------------
     # Batched / parallel execution
     # ------------------------------------------------------------------
-    @contextmanager
-    def _batch_windows(self):
-        """Open every shard reduction's probe-memo window for a batch.
-
-        Memo mutations happen under each shard's lock (all probes do),
-        so parallel workers share the windows safely.  Backends without
-        a ``batched`` hook (or whose inner lacks one) just skip it.
-        """
-        with ExitStack() as stack:
-            for shard in self.router.shards.values():
-                target = getattr(shard.backend, "inner", shard.backend)
-                window = getattr(target, "batched", None)
-                if window is not None:
-                    stack.enter_context(window())
-            yield
-
     def batch_groups(
         self,
         groups: Sequence[Tuple[Predicate, int]],
@@ -569,35 +551,32 @@ class ShardedTopKIndex(TopKIndex):
         With a thread pool and enough groups, the groups are
         partitioned round-robin across workers and each worker runs
         whole scatter-gathers — per-shard locks keep every machine
-        single-threaded, and the per-shard memo windows stay open for
-        the whole batch so repeated sub-probes are shared across
-        workers too.  ``allow_partial`` is the per-call override the
+        single-threaded.  ``allow_partial`` is the per-call override the
         brownout ladder's partial rung passes through to every
         scatter-gather of the batch (``None`` keeps the index default).
         """
         pairs = list(groups)
-        with self._batch_windows():
-            if pool is None or len(pairs) < max(1, parallel_threshold):
-                return [self.query(p, k, allow_partial=allow_partial)
-                        for p, k in pairs]
-            width = getattr(pool, "_max_workers", 4)
-            partitions: List[List[Tuple[int, Predicate, int]]] = [
-                [] for _ in range(max(1, width))
-            ]
-            for index, (predicate, k) in enumerate(pairs):
-                partitions[index % len(partitions)].append((index, predicate, k))
-            with self._stats_lock:
-                self.stats.parallel_batches += 1
-            futures = [
-                pool.submit(self._run_partition, partition, allow_partial)
-                for partition in partitions
-                if partition
-            ]
-            answers: List[Optional[List[Element]]] = [None] * len(pairs)
-            for future in futures:
-                for index, answer in future.result():
-                    answers[index] = answer
-            return answers  # type: ignore[return-value]
+        if pool is None or len(pairs) < max(1, parallel_threshold):
+            return [self.query(p, k, allow_partial=allow_partial)
+                    for p, k in pairs]
+        width = getattr(pool, "_max_workers", 4)
+        partitions: List[List[Tuple[int, Predicate, int]]] = [
+            [] for _ in range(max(1, width))
+        ]
+        for index, (predicate, k) in enumerate(pairs):
+            partitions[index % len(partitions)].append((index, predicate, k))
+        with self._stats_lock:
+            self.stats.parallel_batches += 1
+        futures = [
+            pool.submit(self._run_partition, partition, allow_partial)
+            for partition in partitions
+            if partition
+        ]
+        answers: List[Optional[List[Element]]] = [None] * len(pairs)
+        for future in futures:
+            for index, answer in future.result():
+                answers[index] = answer
+        return answers  # type: ignore[return-value]
 
     def _run_partition(self, partition, allow_partial: Optional[bool] = None):
         """Worker body: sequential scatter-gathers over one partition."""

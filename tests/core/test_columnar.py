@@ -30,12 +30,10 @@ from repro.core.columnar import (
     columnar_disabled,
     columnar_enabled,
     compiled_matcher,
-    next_structure_id,
     predicate_key,
 )
-from repro.core.params import TuningParams
-from repro.core.problem import Element, Predicate, top_k_of
-from repro.core.theorem1 import WorstCaseTopKIndex, _TopFStructure, ReductionStats
+from repro.core.problem import Element, Predicate
+from repro.core.theorem1 import WorstCaseTopKIndex
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.codec import decode, encode
 from toy import RangePredicate, ToyMax, ToyPrioritized, make_toy_elements
@@ -202,11 +200,13 @@ class TestScanCache:
         predicate = RangePredicate(10.0, 90.0)
         scan = cache.get(columns, predicate)
         assert cache.get(columns, predicate) is scan
-        assert cache.peek(predicate) is scan
+        assert cache.hits == 1
         columns.insert(Element(5.0, 1e6))
-        assert cache.peek(predicate) is None
         replacement = cache.get(columns, predicate)
         assert replacement is not scan and replacement.fresh()
+        assert cache.hits == 1  # a stale scan is replaced, not a hit
+        cache.clear()
+        assert cache.get(columns, predicate) is not replacement
 
     def test_bounded_and_clearable(self):
         elements = make_toy_elements(50, seed=9)
@@ -227,7 +227,7 @@ class TestScanCache:
         scan = cache.visit(columns, predicate)  # second: promoted
         assert scan is not None and scan.columns is columns
         assert cache.visit(columns, predicate) is scan  # further: cached
-        assert cache.peek(predicate) is scan
+        assert cache.get(columns, predicate) is scan
 
     def test_visit_seed_carries_into_promoted_scan(self):
         elements = make_toy_elements(120, seed=11)
@@ -414,49 +414,6 @@ def test_worstcase_snapshot_roundtrip_stays_columnar():
         k = rng.choice([1, 5, 12])
         expected = oracle_top_k(elements, predicate, k)
         assert restored.query(predicate, k) == expected
-
-
-# ----------------------------------------------------------------------
-# Memo-window keys: monotonic structure ids, never address-aliased
-# ----------------------------------------------------------------------
-class TestMemoWindowKeys:
-    def test_structure_ids_are_process_unique(self):
-        ids = {next_structure_id() for _ in range(100)}
-        assert len(ids) == 100
-        assert max(ids) > min(ids)
-
-    def _make_structure(self, seed):
-        elements = make_toy_elements(120, seed=seed)
-        stats = ReductionStats()
-        params = TuningParams(
-            lam=1.0, coreset_rate_c=3.0, rank_threshold_c=2.0,
-            small_k_factor=4.0, slack=4.0,
-        )
-        return elements, _TopFStructure(
-            elements, 16, ToyPrioritized, params, random.Random(seed), stats
-        )
-
-    def test_two_structures_never_share_memo_entries(self):
-        """Regression: memo keys were ``(id(self), ...)`` — a freed
-        structure's address could be reused by a successor, which then
-        read the predecessor's memoized answers.  Keys are now
-        process-unique ``sid`` values, so distinct structures can share
-        one memo window without any cross-talk, ever."""
-        elements_a, structure_a = self._make_structure(seed=1)
-        elements_b, structure_b = self._make_structure(seed=2)
-        assert structure_a.sid != structure_b.sid
-        predicate = RangePredicate(10.0, 60.0)
-        memo = {}
-        answer_a = structure_a.top_f(predicate, memo=memo)
-        assert structure_a.stats.memo_hits == 0
-        answer_b = structure_b.top_f(predicate, memo=memo)
-        assert structure_b.stats.memo_hits == 0  # b must not hit a's entry
-        assert list(answer_b) == list(
-            top_k_of(elements_b, predicate, structure_b.f)
-        )
-        # Same structure, same window: the second call memo-hits.
-        assert structure_a.top_f(predicate, memo=memo) == answer_a
-        assert structure_a.stats.memo_hits == 1
 
 
 def test_codec_roundtrips_weight_arrays():

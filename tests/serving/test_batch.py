@@ -73,7 +73,7 @@ def test_batch_answers_equal_serial_queries(builder):
         )
     requests = make_requests(40, seed=5)
     if builder == "default":
-        # The TopKIndex default implementation, no reduction override.
+        # The executor itself, without the TopKIndex entry point.
         answers = execute_batch(index, requests)
     else:
         answers = index.query_topk_batch(requests)
@@ -102,51 +102,22 @@ def test_batch_zero_k_members():
     assert answers[1] == top_k_of(elements, p, 2)
 
 
-def test_theorem1_memo_window_shares_probes():
-    elements = make_toy_elements(80, seed=9)
-    index = WorstCaseTopKIndex(elements, ToyPrioritized, seed=1)
-    p, q = RangePredicate(0, 600), RangePredicate(100, 500)
-    index.stats.reset()
-    with index.batched():
-        first = index.query(p, 3)
-        again = index.query(p, 3)
-        other = index.query(q, 2)
-    assert again == first
-    assert index.stats.memo_hits > 0
-    assert other == top_k_of(elements, q, 2)
-    # The window closed: probes run fresh again.
-    assert index._memo is None
-    hits_before = index.stats.memo_hits
-    index.query(p, 3)
-    assert index.stats.memo_hits == hits_before
-
-
-def test_theorem2_memo_window_shares_probes_and_clears_on_update():
+def test_theorem2_memo_hits_count_live_scans_and_clear_on_update():
     elements = make_toy_elements(80, seed=9)
     index = ExpectedTopKIndex(elements, ToyPrioritized, ToyMax, seed=3)
     p = RangePredicate(0, 799)
-    with index.batched():
-        first = index.query(p, 4)
-        assert index.query(p, 4) == first
-        assert index.stats.memo_hits > 0
-        # An update inside the window must not leave stale probes behind.
-        extra = make_toy_elements(1, seed=77, weight_offset=5000.0)[0]
-        index.insert(extra)
-        fresh = index.query(p, 4)
-        assert fresh == top_k_of(elements + [extra], p, 4)
-        assert fresh[0] == extra
-    assert index._memo is None
-
-
-def test_nested_batched_windows_share_one_memo():
-    elements = make_toy_elements(40, seed=1)
-    index = WorstCaseTopKIndex(elements, ToyPrioritized)
-    with index.batched():
-        outer = index._memo
-        with index.batched():
-            assert index._memo is outer
-        assert index._memo is outer
-    assert index._memo is None
+    first = index.query(p, 4)
+    assert index.stats.memo_hits == 0
+    assert index.query(p, 4) == first
+    assert index.stats.memo_hits == 1  # the repeat resumed the live scan
+    # An update drops every scan: the next query must see the new
+    # heaviest match and resume nothing.
+    extra = make_toy_elements(1, seed=77, weight_offset=5000.0)[0]
+    index.insert(extra)
+    fresh = index.query(p, 4)
+    assert fresh == top_k_of(elements + [extra], p, 4)
+    assert fresh[0] == extra
+    assert index.stats.memo_hits == 1
 
 
 def test_plan_group_order_is_deterministic_for_default_repr_predicates():
